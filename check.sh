@@ -32,6 +32,11 @@
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
 #                     assertions: race instrumentation allocates.
+#   7. go test -race -count=10
+#                     the serving frontend's admission, overload and drain
+#                     tests, ten times over: a slot released after the
+#                     response write races the client reading it, and a
+#                     single run rarely loses that race.
 #
 # The script is plain POSIX sh with no interactive steps, so CI runs it
 # verbatim (.github/workflows/ci.yml). It needs only a Go toolchain on
@@ -64,5 +69,8 @@ echo "== go test -race (buffer, pack, psort, extsort, query, server, router, his
 go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
 go test -race -run 'Mutate' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate' .
+
+echo "== go test -race -count=10 (serving frontend: admission, overload, drain)"
+go test -race -count=10 -run 'Frontend|Overload|Drain' ./internal/server/
 
 echo "All checks passed."

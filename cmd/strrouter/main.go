@@ -37,19 +37,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"strtree/internal/router"
 	"strtree/internal/router/shardmap"
+	"strtree/internal/server"
 )
 
 func main() {
@@ -87,17 +84,22 @@ func main() {
 			AdminAddr: *adminAddr,
 		})
 	case *mapPath != "":
-		err = serve(*mapPath, *backends, *addr, serveConfig{
-			adminAddr:    *adminAddr,
-			maxInFlight:  *maxInFlight,
-			timeout:      *timeout,
-			maxTimeout:   *maxTimeout,
-			backendConc:  *backendConc,
-			failThresh:   *failThresh,
-			probeEvery:   *probeEvery,
-			dialTimeout:  *dialTimeout,
-			drainTimeout: *drainTimeout,
-			drainGrace:   *drainGrace,
+		err = serve(*mapPath, *backends, *addr, router.Config{
+			MaxInFlight:        *maxInFlight,
+			DefaultTimeout:     *timeout,
+			MaxTimeout:         *maxTimeout,
+			BackendConcurrency: *backendConc,
+			FailureThreshold:   *failThresh,
+			ProbeInterval:      *probeEvery,
+			DialTimeout:        *dialTimeout,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		}, server.RunConfig{
+			Name:         "strrouter",
+			AdminAddr:    *adminAddr,
+			DrainGrace:   *drainGrace,
+			DrainTimeout: *drainTimeout,
 		})
 	default:
 		fmt.Fprintln(os.Stderr, "usage: strrouter -map shards.json [-backends a,b,c] | -selftest")
@@ -107,19 +109,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "strrouter: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-type serveConfig struct {
-	adminAddr    string
-	maxInFlight  int
-	timeout      time.Duration
-	maxTimeout   time.Duration
-	backendConc  int
-	failThresh   int
-	probeEvery   time.Duration
-	dialTimeout  time.Duration
-	drainTimeout time.Duration
-	drainGrace   time.Duration
 }
 
 // applyBackends fills or overrides the manifest's per-shard addresses
@@ -153,9 +142,9 @@ func applyBackends(m *shardmap.Map, backends string) error {
 }
 
 // serve loads the manifest, builds the router and runs it until a
-// termination signal starts the drain — the same readiness-first
-// sequence strserve uses.
-func serve(mapPath, backends, addr string, cfg serveConfig) error {
+// termination signal has run the drain (server.Run) — the same
+// readiness-first sequence strserve uses.
+func serve(mapPath, backends, addr string, cfg router.Config, run server.RunConfig) error {
 	m, err := shardmap.Load(mapPath)
 	if err != nil {
 		return err
@@ -163,93 +152,17 @@ func serve(mapPath, backends, addr string, cfg serveConfig) error {
 	if err := applyBackends(m, backends); err != nil {
 		return err
 	}
-
-	r, err := router.New(router.Config{
-		Map:                m,
-		MaxInFlight:        cfg.maxInFlight,
-		DefaultTimeout:     cfg.timeout,
-		MaxTimeout:         cfg.maxTimeout,
-		BackendConcurrency: cfg.backendConc,
-		FailureThreshold:   cfg.failThresh,
-		ProbeInterval:      cfg.probeEvery,
-		DialTimeout:        cfg.dialTimeout,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", addr)
+	cfg.Map = m
+	r, err := router.New(cfg)
 	if err != nil {
-		shutdownRouter(r)
+		_ = ln.Close()
 		return err
 	}
 	fmt.Printf("strrouter: routing %d shards (%d backends) on %s\n",
 		len(m.Shards), len(r.BackendStats()), ln.Addr())
-
-	var adminSrv *http.Server
-	adminDone := make(chan struct{})
-	if cfg.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", cfg.adminAddr)
-		if err != nil {
-			_ = ln.Close()
-			shutdownRouter(r)
-			return fmt.Errorf("admin listen: %w", err)
-		}
-		adminSrv = &http.Server{Handler: r.AdminHandler()}
-		go func() {
-			defer close(adminDone)
-			if err := adminSrv.Serve(adminLn); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "strrouter: admin: %v\n", err)
-			}
-		}()
-		fmt.Printf("strrouter: admin endpoint on http://%s\n", adminLn.Addr())
-	}
-	// The admin endpoint outlives the drain — it must answer 503 and
-	// serve final metrics while fan-outs finish — and closes last.
-	defer func() {
-		if adminSrv != nil {
-			_ = adminSrv.Close()
-			<-adminDone
-		}
-	}()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- r.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		if cfg.drainGrace > 0 {
-			fmt.Printf("strrouter: %v: not ready; draining in %v\n", sig, cfg.drainGrace)
-			r.MarkNotReady()
-			time.Sleep(cfg.drainGrace)
-		}
-		fmt.Printf("strrouter: %v: draining (up to %v)\n", sig, cfg.drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		drainErr := r.Shutdown(ctx)
-		if err := <-serveErr; err != nil {
-			return err
-		}
-		if drainErr != nil {
-			return fmt.Errorf("drain: %w", drainErr)
-		}
-		fmt.Println("strrouter: drained cleanly")
-		return nil
-	case err := <-serveErr:
-		shutdownRouter(r)
-		return err
-	}
-}
-
-// shutdownRouter tears a router down with a short bound, for error paths
-// where no drain is in progress.
-func shutdownRouter(r *router.Router) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = r.Shutdown(ctx)
+	return server.Run(r, ln, run)
 }

@@ -36,16 +36,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"strtree"
@@ -111,17 +107,19 @@ func main() {
 			target, err = resolveShardIndex(*mapPath, *shardID, *idx)
 		}
 		if err == nil {
-			err = serve(target, *addr, serveConfig{
-				bufPages:     *bufPages,
-				shards:       *shards,
-				maxInFlight:  *maxInFlight,
-				timeout:      *timeout,
-				drainTimeout: *drainTimeout,
-				adminAddr:    *adminAddr,
-				slowlog:      *slowlog,
-				slowlogJSON:  *slowlogJSON,
-				drainGrace:   *drainGrace,
-				mutable:      *mutable,
+			err = serve(target, *addr, *bufPages, *shards, *slowlogJSON, server.Config{
+				MaxInFlight:        *maxInFlight,
+				DefaultTimeout:     *timeout,
+				SlowQueryThreshold: *slowlog,
+				Mutable:            *mutable,
+				Logf: func(format string, args ...any) {
+					fmt.Fprintf(os.Stderr, format+"\n", args...)
+				},
+			}, server.RunConfig{
+				Name:         "strserve",
+				AdminAddr:    *adminAddr,
+				DrainGrace:   *drainGrace,
+				DrainTimeout: *drainTimeout,
 			})
 		}
 	default:
@@ -132,19 +130,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "strserve: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-type serveConfig struct {
-	bufPages     int
-	shards       int
-	maxInFlight  int
-	timeout      time.Duration
-	drainTimeout time.Duration
-	adminAddr    string
-	slowlog      time.Duration
-	slowlogJSON  string
-	drainGrace   time.Duration
-	mutable      bool
 }
 
 // resolveShardIndex maps -map/-shard to the shard's index file. An
@@ -166,119 +151,42 @@ func resolveShardIndex(mapPath string, shardID int, idx string) (string, error) 
 	return m.IndexPath(mapPath, shardID), nil
 }
 
-// serve opens the index read-only-shaped (queries only) and runs the
-// server until a termination signal starts the drain.
-func serve(idx, addr string, cfg serveConfig) error {
-	tree, err := strtree.Open(idx, strtree.Options{
-		BufferPages:  cfg.bufPages,
-		BufferShards: cfg.shards,
-	})
+// serve opens the index, serves it until a termination signal has run
+// the drain (server.Run), and closes it.
+func serve(idx, addr string, bufPages, shards int, slowlogJSON string, cfg server.Config, run server.RunConfig) (err error) {
+	tree, err := strtree.Open(idx, strtree.Options{BufferPages: bufPages, BufferShards: shards})
 	if err != nil {
 		return err
 	}
-
-	var slowFile *os.File
-	if cfg.slowlogJSON != "" {
-		if cfg.slowlog <= 0 {
-			_ = tree.Close()
+	defer func() {
+		if cerr := tree.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if slowlogJSON != "" {
+		if cfg.SlowQueryThreshold <= 0 {
 			return fmt.Errorf("-slowlog-json requires -slowlog > 0 (the threshold decides what is captured)")
 		}
-		slowFile, err = os.OpenFile(cfg.slowlogJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(slowlogJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			_ = tree.Close()
 			return err
 		}
-		defer func() { _ = slowFile.Close() }()
+		defer func() { _ = f.Close() }()
+		cfg.SlowLogJSON = f
 	}
 
-	srvCfg := server.Config{
-		MaxInFlight:        cfg.maxInFlight,
-		DefaultTimeout:     cfg.timeout,
-		SlowQueryThreshold: cfg.slowlog,
-		Mutable:            cfg.mutable,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	if slowFile != nil {
-		srvCfg.SlowLogJSON = slowFile
-	}
-	srv := server.New(tree, srvCfg)
+	srv := server.New(tree, cfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		_ = tree.Close()
 		return err
 	}
 	mode := "read-only"
-	if cfg.mutable {
+	if cfg.Mutable {
 		mode = "mutable"
 	}
 	fmt.Printf("strserve: serving %s (%d items, height %d, %s) on %s\n",
 		idx, tree.Len(), tree.Height(), mode, ln.Addr())
-
-	var adminSrv *http.Server
-	adminDone := make(chan struct{})
-	if cfg.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", cfg.adminAddr)
-		if err != nil {
-			_ = ln.Close()
-			_ = tree.Close()
-			return fmt.Errorf("admin listen: %w", err)
-		}
-		adminSrv = &http.Server{Handler: srv.AdminHandler()}
-		go func() {
-			defer close(adminDone)
-			if err := adminSrv.Serve(adminLn); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "strserve: admin: %v\n", err)
-			}
-		}()
-		fmt.Printf("strserve: admin endpoint on http://%s\n", adminLn.Addr())
-	}
-	// The admin endpoint outlives the drain — it must answer 503 and
-	// serve final metrics while requests finish — and closes last.
-	defer func() {
-		if adminSrv != nil {
-			_ = adminSrv.Close()
-			<-adminDone
-		}
-	}()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		if cfg.drainGrace > 0 {
-			// Readiness-first shutdown: flip /healthz to 503, keep serving
-			// for the grace period so routers drain us, then stop.
-			fmt.Printf("strserve: %v: not ready; draining in %v\n", sig, cfg.drainGrace)
-			srv.MarkNotReady()
-			time.Sleep(cfg.drainGrace)
-		}
-		fmt.Printf("strserve: %v: draining (up to %v)\n", sig, cfg.drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		drainErr := srv.Shutdown(ctx)
-		if err := <-serveErr; err != nil {
-			return err
-		}
-		if err := tree.Close(); err != nil {
-			return err
-		}
-		if drainErr != nil {
-			return fmt.Errorf("drain: %w", drainErr)
-		}
-		fmt.Println("strserve: drained cleanly")
-		return nil
-	case err := <-serveErr:
-		closeErr := tree.Close()
-		if err != nil {
-			return err
-		}
-		return closeErr
-	}
+	return server.Run(srv, ln, run)
 }
 
 // runClientQuery runs one window query against a running server.

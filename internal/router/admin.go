@@ -1,50 +1,26 @@
 package router
 
-// This file is the router's admin endpoint, the same operational surface
-// strserve exposes (-admin): Prometheus metrics, a JSON snapshot, a
-// drain-aware health check, pprof. The router-specific series are the
-// fan-out's vital signs: per-backend request/error/retry/ejection
-// counters, the fan-out width distribution (how well the shard MBRs
-// prune), and merge latency.
+// This file is the router's part of the admin endpoint. The Frontend
+// serves the surface strserve exposes too (-admin: Prometheus metrics,
+// a JSON snapshot, a drain-aware health check, pprof) with the
+// admission and lifecycle series; the router adds the fan-out's vital
+// signs: per-backend request/error/retry/ejection counters, the fan-out
+// width distribution (how well the shard MBRs prune), and merge latency.
 
 import (
 	"io"
 	"net/http"
-	"net/http/pprof"
 
 	"strtree/internal/obs"
 )
 
-// buildRegistry wires the router's counters into an obs.Registry. Every
-// series is Func-backed: scrapes sample the live atomics the fan-out
-// path maintains, never adding work to a request.
-func (r *Router) buildRegistry() *obs.Registry {
-	reg := obs.NewRegistry()
-
-	// Front-side admission and outcomes.
-	reg.GaugeFunc("strrouter_inflight_requests", "Client requests currently executing.",
-		func() float64 { return float64(r.inFlight.Load()) })
-	reg.CounterFunc("strrouter_accepted_total", "Client requests admitted past the admission semaphore.", r.accepted.Load)
-	reg.CounterFunc("strrouter_rejected_total", "Client requests refused with StatusOverloaded.", r.rejected.Load)
-	reg.CounterFunc("strrouter_completed_total", "Client requests answered with StatusOK.", r.completed.Load)
-	reg.CounterFunc("strrouter_timedout_total", "Client requests that exceeded their deadline.", r.timedOut.Load)
-	reg.CounterFunc("strrouter_failed_total", "Client requests answered with an internal error.", r.failed.Load)
+// registerMetrics adds the router's fan-out series to the Frontend's
+// registry. Every series is Func-backed: scrapes sample the live atomics
+// the fan-out path maintains, never adding work to a request.
+func (r *Router) registerMetrics() {
+	reg := r.Registry()
 	reg.CounterFunc("strrouter_unavailable_total", "Client requests refused because a needed shard had no healthy replica.", r.unavailable.Load)
 	reg.CounterFunc("strrouter_retries_total", "Shard calls retried on another replica after a failure.", r.retriesTot.Load)
-	reg.GaugeFunc("strrouter_draining", "1 while the router refuses new work (drain in progress), else 0.",
-		func() float64 {
-			if r.Draining() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("strrouter_ready", "1 while the health endpoint reports ready, else 0.",
-		func() float64 {
-			if r.Ready() {
-				return 1
-			}
-			return 0
-		})
 
 	// Shape of the topology, for dashboards joining load to fleet size.
 	reg.GaugeFunc("strrouter_shards", "Shards in the routing map.",
@@ -80,52 +56,31 @@ func (r *Router) buildRegistry() *obs.Registry {
 			}, l)
 	}
 
-	// Latency and fan-out distributions. Fan-out width is recorded as
-	// whole "seconds" so the summary's second-valued quantiles read
-	// directly in shards: a 3.0 quantile means 3 shards contacted.
-	reg.HistogramFunc("strrouter_latency_seconds", "Client request latency through scatter, gather and merge.", &r.latAll)
+	// Fan-out width is recorded as whole "seconds" so the summary's
+	// second-valued quantiles read directly in shards: a 3.0 quantile
+	// means 3 shards contacted.
 	reg.HistogramFunc("strrouter_merge_seconds", "Merge-step latency alone.", &r.mergeLat)
 	reg.HistogramFunc("strrouter_fanout_width_shards", "Shards contacted per request (unit: shards, not seconds).", &r.fanWidth)
-	return reg
 }
 
-// Registry returns the router's metrics registry.
-func (r *Router) Registry() *obs.Registry { return r.reg }
-
-// AdminHandler returns the admin HTTP surface, mirroring strserve's:
-//
-//	/metrics        Prometheus text exposition (0.0.4)
-//	/stats          the same series as JSON, wrapped in an object whose
-//	                "percentiles" field is "upper-bound": any series this
-//	                process derives by folding per-shard digests (the
-//	                OpStats fan-out, mergeSummary) reports P50/P95/P99 as
-//	                the max across shards — an upper bound, since exact
-//	                quantiles of independent digests cannot be combined
-//	/healthz        200 "ok" while ready; 503 "draining" once
-//	                MarkNotReady or Shutdown has run
-//	/debug/pprof/   the stdlib profiles
-//
-// Bind it to loopback or a trusted network; it stays functional during
-// and after a drain.
+// AdminHandler returns the Frontend's admin surface with one change:
+// /stats wraps the JSON families in an object whose "percentiles" field
+// is "upper-bound". Any series this process derives by folding
+// per-shard digests (the OpStats fan-out, mergeSummary) reports
+// P50/P95/P99 as the max across shards — an upper bound, since exact
+// quantiles of independent digests cannot be combined — and the wrapper
+// says so, so dashboards cannot mistake them for exact cluster
+// quantiles.
 func (r *Router) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.reg.WritePrometheus(w); err != nil {
-			r.logf("strrouter: admin: write /metrics: %v", err)
-		}
-	})
+	mux.Handle("/", r.Frontend.AdminHandler())
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		// The wrapper names the fold semantics so dashboards cannot
-		// mistake merged tail latencies for exact cluster quantiles:
-		// mergeSummary combines per-shard digests by taking the larger
-		// quantile, so every folded P50/P95/P99 is an upper bound.
 		if _, err := io.WriteString(w, `{"percentiles":"upper-bound","families":`); err != nil {
 			r.logf("strrouter: admin: write /stats: %v", err)
 			return
 		}
-		if err := r.reg.WriteJSON(w); err != nil {
+		if err := r.Registry().WriteJSON(w); err != nil {
 			r.logf("strrouter: admin: write /stats: %v", err)
 			return
 		}
@@ -133,23 +88,5 @@ func (r *Router) AdminHandler() http.Handler {
 			r.logf("strrouter: admin: write /stats: %v", err)
 		}
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !r.Ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			if _, err := w.Write([]byte("draining\n")); err != nil {
-				r.logf("strrouter: admin: write /healthz: %v", err)
-			}
-			return
-		}
-		if _, err := w.Write([]byte("ok\n")); err != nil {
-			r.logf("strrouter: admin: write /healthz: %v", err)
-		}
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

@@ -6,9 +6,11 @@
 // shards it overlaps — the same pruning argument that makes an STR-packed
 // node hierarchy cheap makes the fan-out narrow.
 //
-// The router is production-shaped, mirroring internal/server:
+// The client-facing side — accept loop, admission control, per-request
+// deadlines, readiness, graceful drain and the base admin surface — is
+// internal/server's Frontend, the same one strserve runs; the Router is
+// the Executor behind it. What the router adds:
 //
-//   - admission control and per-request deadlines on the front;
 //   - scatter-gather on the back over pooled protocol clients with
 //     bounded per-backend concurrency and transport timeouts, so a hung
 //     backend costs bounded time, never a parked goroutine;
@@ -19,20 +21,19 @@
 //     k-way merge by (distance, ID), field-wise stats aggregation;
 //   - a shard with no healthy replica answers StatusUnavailable in-band
 //     — fast, never a hang;
-//   - observability (admin.go) and graceful drain, like the backends.
+//   - fan-out observability (admin.go): per-backend health and traffic,
+//     fan-out width, merge latency.
 package router
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"strtree/internal/histo"
-	"strtree/internal/obs"
 	"strtree/internal/router/shardmap"
 	"strtree/internal/server"
 	"strtree/internal/server/wire"
@@ -68,16 +69,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
+// withDefaults fills the router's own zero fields; the admission and
+// deadline fields get theirs from the Frontend, whose resolved deadline
+// cap maxTimeout sets the IOTimeout default.
+func (c Config) withDefaults(maxTimeout time.Duration) Config {
 	if c.BackendConcurrency <= 0 {
 		c.BackendConcurrency = 4
 	}
@@ -91,15 +86,18 @@ func (c Config) withDefaults() Config {
 		c.DialTimeout = 2 * time.Second
 	}
 	if c.IOTimeout <= 0 {
-		c.IOTimeout = c.MaxTimeout + 5*time.Second
+		c.IOTimeout = maxTimeout + 5*time.Second
 	}
 	return c
 }
 
 // Router fans client requests out to shard backends and merges the
-// answers. Create with New, run with Serve, stop with Shutdown. All
-// exported methods are safe for concurrent use.
+// answers: the Executor behind a strrouter Frontend, which it embeds for
+// Serve, readiness and the admin surface. Create with New, run with
+// Serve, stop with Shutdown. All exported methods are safe for
+// concurrent use.
 type Router struct {
+	*server.Frontend
 	cfg Config
 	m   *shardmap.Map
 
@@ -109,82 +107,61 @@ type Router struct {
 	replicas [][]*backend
 	backends []*backend
 
-	// sem is the front-side admission semaphore.
-	sem chan struct{}
-
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	mu       sync.Mutex
-	ln       net.Listener          // guarded by mu
-	conns    map[net.Conn]struct{} // guarded by mu
-	draining bool                  // guarded by mu
-
-	reqWG     sync.WaitGroup // admitted requests (through response write)
-	connWG    sync.WaitGroup // connection handler goroutines
 	scatterWG sync.WaitGroup // scatter goroutines (may outlive their request)
+	stopProbe chan struct{}  // closed by Shutdown to stop the probe loop
 	probeDone chan struct{}  // closed when the probe loop exits
 
-	inFlight    atomic.Int64
-	accepted    atomic.Uint64
-	rejected    atomic.Uint64
-	completed   atomic.Uint64
-	timedOut    atomic.Uint64
-	failed      atomic.Uint64
 	unavailable atomic.Uint64
 	retriesTot  atomic.Uint64
 
-	notReady atomic.Bool
-
-	latAll   histo.Histogram // front-side request latency
 	mergeLat histo.Histogram // merge step alone
 	// fanWidth records each request's fan-out width (shards contacted),
 	// encoded as whole seconds so the exposition's second-valued summary
 	// reads directly in shards: a 3.0 quantile means 3 shards.
 	fanWidth histo.Histogram
-
-	reg *obs.Registry
 }
 
 // New builds a router over a validated shard map. Every shard must carry
 // at least one backend address.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Map == nil {
 		return nil, errors.New("router: no shard map")
 	}
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
-	//strlint:ignore ctxprop the router owns its lifecycle root context; Shutdown cancels it
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Router{
-		cfg:        cfg,
-		m:          cfg.Map,
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		baseCtx:    ctx,
-		cancelBase: cancel,
-		conns:      map[net.Conn]struct{}{},
-		probeDone:  make(chan struct{}),
+	for i, s := range cfg.Map.Shards {
+		if len(s.Addrs) == 0 {
+			return nil, fmt.Errorf("router: shard %d has no backend address", i)
+		}
 	}
+	r := &Router{m: cfg.Map, stopProbe: make(chan struct{}), probeDone: make(chan struct{})}
+	r.Frontend = server.NewFrontend(r, server.FrontendConfig{
+		Name:           "strrouter",
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Logf:           cfg.Logf,
+		Noun:           "Client requests",
+		Process:        "router",
+		FailedHelp:     "Client requests answered with an internal error.",
+		LatencyHelp:    "Client request latency through scatter, gather and merge.",
+	})
+	r.cfg = cfg.withDefaults(r.MaxTimeout())
 	byAddr := map[string]*backend{}
 	r.replicas = make([][]*backend, len(r.m.Shards))
 	for i, s := range r.m.Shards {
-		if len(s.Addrs) == 0 {
-			cancel()
-			return nil, fmt.Errorf("router: shard %d has no backend address", i)
-		}
 		for _, addr := range s.Addrs {
 			b, ok := byAddr[addr]
 			if !ok {
-				b = newBackend(addr, cfg.BackendConcurrency, cfg.DialTimeout, cfg.IOTimeout)
+				b = newBackend(addr, r.cfg.BackendConcurrency, r.cfg.DialTimeout, r.cfg.IOTimeout)
 				byAddr[addr] = b
 				r.backends = append(r.backends, b)
 			}
 			r.replicas[i] = append(r.replicas[i], b)
 		}
 	}
-	r.reg = r.buildRegistry()
+	r.registerMetrics()
 	//strlint:ignore waitpair probeLoop closes r.probeDone on exit; Shutdown waits on it
 	go r.probeLoop()
 	return r, nil
@@ -197,15 +174,15 @@ func (r *Router) logf(format string, args ...any) {
 }
 
 // probeLoop periodically re-probes ejected backends with a stats ping
-// and restores the ones that answer. It exits when Shutdown cancels the
-// router's base context.
+// and restores the ones that answer. It exits when Shutdown closes
+// r.stopProbe.
 func (r *Router) probeLoop() {
 	defer close(r.probeDone)
 	t := time.NewTicker(r.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.baseCtx.Done():
+		case <-r.stopProbe:
 			return
 		case <-t.C:
 		}
@@ -227,77 +204,6 @@ func (r *Router) probeLoop() {
 	}
 }
 
-// ErrAlreadyServing is returned by a second Serve call.
-var ErrAlreadyServing = errors.New("router: already serving")
-
-// Serve accepts client connections on ln until Shutdown. It blocks,
-// returning nil after a drain-initiated stop or the first fatal accept
-// error otherwise. The router takes ownership of ln.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.ln != nil {
-		r.mu.Unlock()
-		return ErrAlreadyServing
-	}
-	if r.draining {
-		r.mu.Unlock()
-		_ = ln.Close()
-		return nil
-	}
-	r.ln = ln
-	r.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.Draining() {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			r.logf("strrouter: accept: %v", err)
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.connWG.Add(1)
-		r.mu.Unlock()
-		go r.handleConn(conn)
-	}
-}
-
-// Addr returns the listener's address, or nil before Serve.
-func (r *Router) Addr() net.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return nil
-	}
-	return r.ln.Addr()
-}
-
-// Draining reports whether Shutdown has begun.
-func (r *Router) Draining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
-}
-
-// MarkNotReady flips the admin /healthz endpoint to 503 without starting
-// the drain, mirroring the backend server's readiness sequence.
-func (r *Router) MarkNotReady() { r.notReady.Store(true) }
-
-// Ready reports whether the admin health endpoint should answer 200.
-func (r *Router) Ready() bool { return !r.notReady.Load() && !r.Draining() }
-
 // BackendStats snapshots every backend's health and counters, in the
 // manifest's first-appearance address order.
 func (r *Router) BackendStats() []BackendStats {
@@ -308,87 +214,30 @@ func (r *Router) BackendStats() []BackendStats {
 	return out
 }
 
-// handleConn serves one client connection, frames answered in order.
-func (r *Router) handleConn(conn net.Conn) {
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		_ = conn.Close()
-		r.connWG.Done()
-	}()
-	h := server.NewConnIO(conn)
-	var inBuf []byte
-	for {
-		payload, err := h.ReadFrame(inBuf)
-		if err != nil {
-			return
-		}
-		inBuf = payload
-		if !r.serveOne(h, payload) {
-			return
-		}
-	}
-}
-
-// serveOne parses, admits, fans out and answers one request, returning
-// whether the connection should stay open.
-func (r *Router) serveOne(h *server.ConnIO, payload []byte) bool {
-	req, err := wire.ParseRequest(payload)
-	if err != nil {
-		_ = h.WriteResponse(&wire.Response{
-			Status: wire.StatusBadRequest,
-			Op:     wire.OpSearch,
-			Err:    err.Error(),
-		})
-		return false
-	}
+// Execute answers one admitted client request: refusals the router can
+// decide alone in-band, everything else by fan-out and merge.
+func (r *Router) Execute(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if req.Op == wire.OpInsert || req.Op == wire.OpDelete {
 		// The router serves the read path only: a mutation would have to
 		// pick (and possibly re-balance) a shard, which the static shard
 		// map cannot express. Mutate the owning strserve directly.
-		return h.WriteResponse(&wire.Response{
+		return &wire.Response{
 			Status: wire.StatusBadRequest,
 			Op:     req.Op,
 			Err:    "router is read-only: send mutations to a backend server directly",
-		})
+		}, nil
 	}
 	if err := r.checkDims(req); err != nil {
 		// Wrong dimensionality is a client error the backends would each
 		// reject; answer once here and keep the connection (the frame
 		// itself was well-formed).
-		return h.WriteResponse(&wire.Response{
-			Status: wire.StatusBadRequest,
-			Op:     req.Op,
-			Err:    err.Error(),
-		})
+		return &wire.Response{Status: wire.StatusBadRequest, Op: req.Op, Err: err.Error()}, nil
 	}
-
-	release, status := r.admit()
-	if status != wire.StatusOK {
-		ok := h.WriteResponse(&wire.Response{Status: status, Op: req.Op, Err: status.String()})
-		return ok && status == wire.StatusOverloaded
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.baseCtx, r.timeoutFor(req))
-	start := time.Now()
 	resp := r.fanout(ctx, req)
-	cancel()
-	r.latAll.Observe(time.Since(start))
-
-	switch resp.Status {
-	case wire.StatusOK:
-		r.completed.Add(1)
-	case wire.StatusDeadline:
-		r.timedOut.Add(1)
-	case wire.StatusUnavailable:
+	if resp.Status == wire.StatusUnavailable {
 		r.unavailable.Add(1)
-	default:
-		r.failed.Add(1)
-		r.logf("strrouter: %v request failed: %s", req.Op, resp.Err)
 	}
-	return h.WriteResponse(resp)
+	return resp, nil
 }
 
 // checkDims rejects geometry whose dimensionality does not match the
@@ -414,45 +263,6 @@ func (r *Router) checkDims(req *wire.Request) error {
 		}
 	}
 	return nil
-}
-
-// admit applies front-side admission control, mirroring the backend
-// server's semantics.
-func (r *Router) admit() (release func(), status wire.Status) {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return nil, wire.StatusDraining
-	}
-	select {
-	case r.sem <- struct{}{}:
-		r.reqWG.Add(1)
-		r.mu.Unlock()
-		r.inFlight.Add(1)
-		r.accepted.Add(1)
-		return func() {
-			<-r.sem
-			r.inFlight.Add(-1)
-			r.reqWG.Done()
-		}, wire.StatusOK
-	default:
-		r.mu.Unlock()
-		r.rejected.Add(1)
-		return nil, wire.StatusOverloaded
-	}
-}
-
-// timeoutFor resolves a request's deadline: its own if set, else the
-// default, never above the maximum.
-func (r *Router) timeoutFor(req *wire.Request) time.Duration {
-	d := r.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		d = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if d > r.cfg.MaxTimeout {
-		d = r.cfg.MaxTimeout
-	}
-	return d
 }
 
 // targetsFor prunes the fan-out: the shards a request must visit, in
@@ -612,65 +422,17 @@ func (r *Router) tryBackend(ctx context.Context, b *backend, req *wire.Request) 
 	return out, false
 }
 
-// Shutdown drains the router: it stops accepting connections, refuses
-// new requests with StatusDraining, waits for in-flight requests to
-// finish writing their responses, stops the probe loop, then closes
-// every connection and backend client. If ctx expires first, outstanding
-// fan-outs are cancelled and ctx's error is returned.
+// Shutdown drains the router: the Frontend's drain (stop accepting,
+// refuse new requests, let in-flight fan-outs write their answers,
+// close client connections), then the probe loop, then the backend
+// client pools. If ctx expires first, outstanding fan-outs are cancelled
+// and ctx's error is returned.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return errors.New("router: already shut down")
+	drainErr := r.Frontend.Shutdown(ctx)
+	if errors.Is(drainErr, server.ErrShutDown) {
+		return drainErr
 	}
-	r.draining = true
-	ln := r.ln
-	r.mu.Unlock()
-	r.notReady.Store(true)
-
-	if ln != nil {
-		_ = ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.reqWG.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = ctx.Err()
-		r.cancelBase()
-		select {
-		case <-done:
-		case <-time.After(time.Second):
-			r.logf("strrouter: drain deadline passed with requests still running")
-		}
-	}
-
-	r.mu.Lock()
-	for c := range r.conns {
-		_ = c.Close()
-	}
-	r.mu.Unlock()
-
-	if drainErr == nil {
-		r.connWG.Wait()
-	} else {
-		handlers := make(chan struct{})
-		go func() {
-			r.connWG.Wait()
-			close(handlers)
-		}()
-		select {
-		case <-handlers:
-		case <-time.After(time.Second):
-			r.logf("strrouter: handlers still running after forced drain")
-		}
-	}
-	r.cancelBase()
+	close(r.stopProbe)
 	<-r.probeDone
 
 	// Scatter goroutines outliving their request (a deadline answered

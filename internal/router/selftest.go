@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -49,8 +48,9 @@ type SelftestConfig struct {
 	Seed int64
 	// AdminAddr, when non-empty, binds the router's admin endpoint there
 	// and extends the selftest into an admin smoke test: /healthz must
-	// answer 200, /metrics must expose per-backend series, and the
-	// ejection counter must turn non-zero after the kill.
+	// answer 200, /metrics must expose per-backend series, the ejection
+	// counter must turn non-zero after the kill, and /healthz must answer
+	// 503 once the router has drained.
 	AdminAddr string
 }
 
@@ -65,28 +65,6 @@ func (c SelftestConfig) withDefaults() SelftestConfig {
 		c.Queries = 60
 	}
 	return c
-}
-
-// selftestItems generates n uniformly placed squares in the unit square
-// sized for ~5% total coverage — the same UNIFORM shape the server
-// selftest uses, regenerated here because continuous coordinates make
-// distance ties (the one source of kNN merge ambiguity) measure zero.
-func selftestItems(n int, seed int64) []strtree.Item {
-	rng := rand.New(rand.NewSource(seed))
-	side := 0.0
-	if n > 0 {
-		side = math.Sqrt(0.05 / float64(n))
-	}
-	items := make([]strtree.Item, n)
-	for i := range items {
-		x := rng.Float64() * (1 - side)
-		y := rng.Float64() * (1 - side)
-		items[i] = strtree.Item{
-			Rect: geom.Rect{Min: geom.Pt2(x, y), Max: geom.Pt2(x+side, y+side)},
-			ID:   uint64(i),
-		}
-	}
-	return items
 }
 
 // partitionItems runs the STR shard partition over public items, the
@@ -217,7 +195,9 @@ func sameIDs(a, b []uint64) bool {
 // report to w. Any divergence fails it.
 func Selftest(w io.Writer, cfg SelftestConfig) error {
 	cfg = cfg.withDefaults()
-	items := selftestItems(cfg.Size, cfg.Seed)
+	// Continuous coordinates make distance ties (the one source of kNN
+	// merge ambiguity) measure zero.
+	items := server.UniformItems(cfg.Size, cfg.Seed)
 
 	// The unsharded reference: one tree with everything.
 	ref, err := strtree.New(strtree.Options{BufferPages: 256})
@@ -236,24 +216,16 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	defer topo.close()
 
 	var adminURL string
-	var adminShutdown func()
 	if cfg.AdminAddr != "" {
-		ln, err := net.Listen("tcp", cfg.AdminAddr)
+		url, stop, err := server.StartAdmin(cfg.AdminAddr, topo.router.AdminHandler())
 		if err != nil {
 			return fmt.Errorf("selftest: admin listen: %w", err)
 		}
-		adminSrv := &http.Server{Handler: topo.router.AdminHandler()}
-		adminDone := make(chan struct{})
-		go func() {
-			defer close(adminDone)
-			_ = adminSrv.Serve(ln) // returns http.ErrServerClosed on Close
-		}()
-		adminShutdown = func() {
-			_ = adminSrv.Close()
-			<-adminDone
+		defer func() { _ = stop() }()
+		adminURL = url
+		if err := server.CheckHealth(adminURL, http.StatusOK); err != nil {
+			return fmt.Errorf("selftest: before drain: %w", err)
 		}
-		defer adminShutdown()
-		adminURL = "http://" + ln.Addr().String()
 	}
 
 	// ------------------------------------------------ identity + pruning
@@ -473,6 +445,11 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	if err := topo.router.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("selftest: drain: %w", err)
 	}
+	if adminURL != "" {
+		if err := server.CheckHealth(adminURL, http.StatusServiceUnavailable); err != nil {
+			return fmt.Errorf("selftest: after drain: %w", err)
+		}
+	}
 	fmt.Fprintf(w, "  drain: router shut down cleanly\n")
 	return nil
 }
@@ -481,19 +458,13 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 // answers, /metrics exposes one request series per backend, and — after
 // the kill — a non-zero ejection count.
 func verifyRouterAdmin(w io.Writer, adminURL string, backends int, afterKill bool) error {
-	resp, err := http.Get(adminURL + "/metrics")
+	status, text, err := server.HTTPGet(adminURL + "/metrics")
 	if err != nil {
 		return fmt.Errorf("admin /metrics: %w", err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("admin /metrics: %w", err)
+	if status != http.StatusOK {
+		return fmt.Errorf("admin /metrics = %d, want 200", status)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("admin /metrics = %d, want 200", resp.StatusCode)
-	}
-	text := string(body)
 	if n := strings.Count(text, "strrouter_backend_requests_total{"); n != backends {
 		return fmt.Errorf("admin /metrics: %d backend request series, want %d", n, backends)
 	}

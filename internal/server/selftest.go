@@ -65,9 +65,10 @@ func (c SelftestConfig) withDefaults() SelftestConfig {
 	return c
 }
 
-// uniformItems generates n uniformly placed squares in the unit square,
+// UniformItems generates n uniformly placed squares in the unit square,
 // the paper's UNIFORM distribution shape, sized for ~5% total coverage.
-func uniformItems(n int, seed int64) []strtree.Item {
+// Both selftests and the serving tests draw their data from it.
+func UniformItems(n int, seed int64) []strtree.Item {
 	rng := rand.New(rand.NewSource(seed))
 	side := 0.0
 	if n > 0 {
@@ -99,7 +100,7 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 		return err
 	}
 	defer func() { _ = tree.Close() }()
-	if err := tree.BulkLoad(uniformItems(cfg.Size, cfg.Seed), strtree.PackSTR); err != nil {
+	if err := tree.BulkLoad(UniformItems(cfg.Size, cfg.Seed), strtree.PackSTR); err != nil {
 		return err
 	}
 
@@ -114,25 +115,14 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 
 	var adminURL string
 	if cfg.AdminAddr != "" {
-		adminLn, err := net.Listen("tcp", cfg.AdminAddr)
+		url, stop, err := StartAdmin(cfg.AdminAddr, srv.AdminHandler())
 		if err != nil {
 			return fmt.Errorf("selftest: admin listen: %w", err)
 		}
-		adminSrv := &http.Server{Handler: srv.AdminHandler()}
-		adminDone := make(chan struct{})
-		go func() {
-			defer close(adminDone)
-			_ = adminSrv.Serve(adminLn) // returns http.ErrServerClosed on Close
-		}()
-		defer func() {
-			_ = adminSrv.Close()
-			<-adminDone
-		}()
-		adminURL = "http://" + adminLn.Addr().String()
-		if status, body, err := httpGet(adminURL + "/healthz"); err != nil {
-			return fmt.Errorf("selftest: admin /healthz: %w", err)
-		} else if status != http.StatusOK || body != "ok\n" {
-			return fmt.Errorf("selftest: admin /healthz before drain = %d %q, want 200 \"ok\"", status, body)
+		defer func() { _ = stop() }()
+		adminURL = url
+		if err := CheckHealth(adminURL, http.StatusOK); err != nil {
+			return fmt.Errorf("selftest: before drain: %w", err)
 		}
 	}
 
@@ -179,10 +169,8 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 		// The k8s readiness sequence: flip /healthz before draining so
 		// routers stop sending traffic, then verify the flip is visible.
 		srv.MarkNotReady()
-		if status, _, err := httpGet(adminURL + "/healthz"); err != nil {
-			return fmt.Errorf("selftest: admin /healthz: %w", err)
-		} else if status != http.StatusServiceUnavailable {
-			return fmt.Errorf("selftest: admin /healthz after MarkNotReady = %d, want 503", status)
+		if err := CheckHealth(adminURL, http.StatusServiceUnavailable); err != nil {
+			return fmt.Errorf("selftest: after MarkNotReady: %w", err)
 		}
 	}
 
@@ -195,10 +183,8 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	if adminURL != "" {
 		// The admin endpoint outlives the drain — scraping a draining
 		// server is exactly when the numbers matter — and keeps saying 503.
-		if status, _, err := httpGet(adminURL + "/healthz"); err != nil {
-			return fmt.Errorf("selftest: admin /healthz: %w", err)
-		} else if status != http.StatusServiceUnavailable {
-			return fmt.Errorf("selftest: admin /healthz during drain = %d, want 503", status)
+		if err := CheckHealth(adminURL, http.StatusServiceUnavailable); err != nil {
+			return fmt.Errorf("selftest: during drain: %w", err)
 		}
 		fmt.Fprintf(w, "  admin: /healthz flipped to 503 before and during drain\n")
 	}
@@ -237,25 +223,11 @@ func hitRatio(logical, disk uint64) float64 {
 	return 1 - float64(disk)/float64(logical)
 }
 
-// httpGet fetches one admin URL, returning status code and body.
-func httpGet(url string) (int, string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, "", err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, "", err
-	}
-	return resp.StatusCode, string(body), nil
-}
-
 // verifyAdmin asserts the admin endpoint's post-load contract: /metrics
 // is Prometheus text with non-zero request counters and one buffer
 // series per shard, and /stats serves a JSON array.
 func verifyAdmin(w io.Writer, adminURL string, shards int) error {
-	status, body, err := httpGet(adminURL + "/metrics")
+	status, body, err := HTTPGet(adminURL + "/metrics")
 	if err != nil {
 		return fmt.Errorf("admin /metrics: %w", err)
 	}
@@ -299,7 +271,7 @@ func verifyAdmin(w io.Writer, adminURL string, shards int) error {
 	if hitShards != shards {
 		return fmt.Errorf("admin /metrics: %d buffer hit series, want one per shard (%d)", hitShards, shards)
 	}
-	status, statsBody, err := httpGet(adminURL + "/stats")
+	status, statsBody, err := HTTPGet(adminURL + "/stats")
 	if err != nil {
 		return fmt.Errorf("admin /stats: %w", err)
 	}
