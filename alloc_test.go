@@ -1,13 +1,15 @@
 package strtree
 
-// Allocation-regression gate at the public API level: steady-state Search
-// and Count through the strtree wrappers must not allocate. The same gate
+// Allocation-regression gate at the public API level: steady-state Search,
+// Count and CountContext (the serving layer's count path) through the
+// strtree wrappers must not allocate. The same gate
 // exists inside internal/rtree (TestSearchZeroAlloc there); this level
 // additionally catches regressions in the root wrappers — a closure that
 // starts escaping, a stats path that starts boxing — that the inner gate
 // cannot see.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -29,12 +31,19 @@ func zeroAllocTree(tb testing.TB) *Tree {
 	return tr
 }
 
-// searchAllocsPerRun measures allocations per warm Search and Count.
-func searchAllocsPerRun(tb testing.TB, tr *Tree) (searchAllocs, countAllocs float64) {
+// queryAllocs is one query kind's measured allocations per warm call.
+type queryAllocs struct {
+	name   string
+	allocs float64
+}
+
+// searchAllocsPerRun measures allocations per warm Search, Count and
+// CountContext under a live context.
+func searchAllocsPerRun(tb testing.TB, tr *Tree) []queryAllocs {
 	tb.Helper()
 	q := R2(0.3, 0.3, 0.6, 0.6)
 	found := 0
-	searchAllocs = testing.AllocsPerRun(50, func() {
+	searchAllocs := testing.AllocsPerRun(50, func() {
 		found = 0
 		if err := tr.Search(q, func(Item) bool { found++; return true }); err != nil {
 			tb.Fatal(err)
@@ -43,12 +52,34 @@ func searchAllocsPerRun(tb testing.TB, tr *Tree) (searchAllocs, countAllocs floa
 	if found == 0 {
 		tb.Fatal("query matched nothing; the gate exercised no emission path")
 	}
-	countAllocs = testing.AllocsPerRun(50, func() {
+	countAllocs := testing.AllocsPerRun(50, func() {
 		if _, err := tr.Count(q); err != nil {
 			tb.Fatal(err)
 		}
 	})
-	return searchAllocs, countAllocs
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	counted := 0
+	countCtxAllocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if counted, err = tr.CountContext(ctx, q); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	if counted != found {
+		tb.Fatalf("CountContext counted %d, Search found %d", counted, found)
+	}
+	return []queryAllocs{{"Search", searchAllocs}, {"Count", countAllocs}, {"CountContext", countCtxAllocs}}
+}
+
+// zeroAllocErrors reports each measured query kind that allocated.
+func zeroAllocErrors(t *testing.T, measured []queryAllocs, where string) {
+	t.Helper()
+	for _, m := range measured {
+		if m.allocs != 0 {
+			t.Errorf("warm %s%s allocated %.1f times per query, want 0", m.name, where, m.allocs)
+		}
+	}
 }
 
 // TestSearchViewZeroAlloc enforces the acceptance criterion in CI ("View"
@@ -64,13 +95,7 @@ func TestSearchViewZeroAlloc(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	searchAllocs, countAllocs := searchAllocsPerRun(t, tr)
-	if searchAllocs != 0 {
-		t.Errorf("warm Search allocated %.1f times per query, want 0", searchAllocs)
-	}
-	if countAllocs != 0 {
-		t.Errorf("warm Count allocated %.1f times per query, want 0", countAllocs)
-	}
+	zeroAllocErrors(t, searchAllocsPerRun(t, tr), "")
 }
 
 // TestSearchMutatedViewZeroAlloc is the write path's read-side guarantee:
@@ -116,17 +141,11 @@ func TestSearchMutatedViewZeroAlloc(t *testing.T) {
 	if _, err := tr.Count(R2(0, 0, 1, 1)); err != nil { // re-warm after churn
 		t.Fatal(err)
 	}
-	searchAllocs, countAllocs := searchAllocsPerRun(t, tr)
-	if searchAllocs != 0 {
-		t.Errorf("warm Search on a mutated tree allocated %.1f times per query, want 0", searchAllocs)
-	}
-	if countAllocs != 0 {
-		t.Errorf("warm Count on a mutated tree allocated %.1f times per query, want 0", countAllocs)
-	}
+	zeroAllocErrors(t, searchAllocsPerRun(t, tr), " on a mutated tree")
 }
 
 // BenchmarkSearchZeroAlloc is the benchmark-suite guard: it fails outright
-// if a steady-state Search or Count allocates, so an allocation regression
+// if a steady-state Search, Count or CountContext allocates, so an allocation regression
 // breaks the bench job even when nobody inspects allocs/op columns.
 func BenchmarkSearchZeroAlloc(b *testing.B) {
 	tr := zeroAllocTree(b)
@@ -136,9 +155,10 @@ func BenchmarkSearchZeroAlloc(b *testing.B) {
 		}
 	}()
 	if !raceEnabled {
-		if searchAllocs, countAllocs := searchAllocsPerRun(b, tr); searchAllocs != 0 || countAllocs != 0 {
-			b.Fatalf("steady-state allocations regressed: Search %.1f, Count %.1f allocs per query, want 0",
-				searchAllocs, countAllocs)
+		for _, m := range searchAllocsPerRun(b, tr) {
+			if m.allocs != 0 {
+				b.Fatalf("steady-state allocations regressed: %s %.1f allocs per query, want 0", m.name, m.allocs)
+			}
 		}
 	}
 	q := R2(0.3, 0.3, 0.6, 0.6)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -245,5 +246,57 @@ func BenchmarkUnmarshal100(b *testing.B) {
 		if err := Unmarshal(page, &out); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// kernelPage marshals a full 4 KiB leaf of the given dimensionality for
+// the per-page kernel benchmarks.
+func kernelPage(b *testing.B, dims int) []byte {
+	b.Helper()
+	page := make([]byte, 4096)
+	n := sampleNode(0, dims, Capacity(len(page), dims), rand.New(rand.NewSource(int64(dims))))
+	if err := Marshal(n, page); err != nil {
+		b.Fatal(err)
+	}
+	return page
+}
+
+// BenchmarkMakeView times header checks, the payload CRC and the
+// validation kernel over one full page.
+func BenchmarkMakeView(b *testing.B) {
+	for _, dims := range []int{2, 3} {
+		b.Run(fmt.Sprintf("dims=%d", dims), func(b *testing.B) {
+			page := kernelPage(b, dims)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MakeView(page); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendMatches times the match kernel over one full page with
+// the query box [0.4, 0.6] on every axis.
+func BenchmarkAppendMatches(b *testing.B) {
+	for _, dims := range []int{2, 3} {
+		b.Run(fmt.Sprintf("dims=%d", dims), func(b *testing.B) {
+			v, err := MakeView(kernelPage(b, dims))
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+			for d := 0; d < dims; d++ {
+				q.Min[d], q.Max[d] = 0.4, 0.6
+			}
+			idx := make([]uint16, 0, v.Count())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx = v.AppendMatches(q, idx[:0])
+			}
+		})
 	}
 }

@@ -3,9 +3,12 @@ package node
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"strtree/internal/geom"
@@ -235,4 +238,163 @@ func TestViewZeroAllocAccess(t *testing.T) {
 		t.Fatalf("view iteration allocated %.1f times per run", allocs)
 	}
 	_ = sink
+}
+
+// perEntryMatches is the reference AppendMatches is pinned to: the
+// per-entry IntersectsQuery loop over every entry, in entry order.
+func perEntryMatches(v View, q geom.Rect) []uint16 {
+	var out []uint16
+	for i := 0; i < v.Count(); i++ {
+		if v.IntersectsQuery(q, i) {
+			out = append(out, uint16(i))
+		}
+	}
+	return out
+}
+
+// cube returns the rectangle with the interval [lo, hi] on every axis.
+func cube(dims int, lo, hi float64) geom.Rect {
+	r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	for d := 0; d < dims; d++ {
+		r.Min[d], r.Max[d] = lo, hi
+	}
+	return r
+}
+
+// TestAppendMatchesMatchesIntersectsQuery pins the match kernel to the
+// per-entry IntersectsQuery verdict over dims 1–4 on the boundary cases
+// of closed-box intersection: touching edges, point queries, infinite
+// bounds, signed zeros and zero-width entries, plus random full pages.
+func TestAppendMatchesMatchesIntersectsQuery(t *testing.T) {
+	inf := math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	for dims := 1; dims <= 4; dims++ {
+		// Entry 8 matches the others on axis 0 only, so a query can touch
+		// it there and miss it on the last axis.
+		split := cube(dims, 0, 1)
+		split.Min[dims-1], split.Max[dims-1] = 5, 6
+		rects := []geom.Rect{
+			cube(dims, 0, 1),
+			cube(dims, 1, 2), // touches entry 0 at 1
+			cube(dims, 0.5, 0.5),
+			cube(dims, negZero, 0),
+			cube(dims, 0, negZero),
+			cube(dims, -inf, -1),
+			cube(dims, 2, inf),
+			cube(dims, -inf, inf),
+			split,
+			cube(dims, 3, 3),
+		}
+		n := &Node{Level: 0, Dims: dims}
+		for i, r := range rects {
+			n.Entries = append(n.Entries, Entry{Rect: r, Ref: uint64(i)})
+		}
+		page := make([]byte, 4096)
+		if err := Marshal(n, page); err != nil {
+			t.Fatal(err)
+		}
+		v, err := MakeView(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := cube(dims, 0, 1)
+		last.Min[dims-1], last.Max[dims-1] = 6, 7 // touches entry 8's last axis
+		queries := []struct {
+			name string
+			q    geom.Rect
+		}{
+			{"touching edge", cube(dims, 1, 1)},
+			{"touching from below", cube(dims, -1, 0)},
+			{"point at 0.5", cube(dims, 0.5, 0.5)},
+			{"point at +0", cube(dims, 0, 0)},
+			{"point at -0", cube(dims, negZero, negZero)},
+			{"signed-zero interval", cube(dims, negZero, 0)},
+			{"everything", cube(dims, -inf, inf)},
+			{"point at -inf", cube(dims, -inf, -inf)},
+			{"point at +inf", cube(dims, inf, inf)},
+			{"lower half line", cube(dims, -inf, negZero)},
+			{"upper half line", cube(dims, 2, inf)},
+			{"gap", cube(dims, 3.5, 4)},
+			{"zero-width entry only", cube(dims, 3, 3)},
+			{"last axis touch", last},
+		}
+		for _, tc := range queries {
+			want := perEntryMatches(v, tc.q)
+			got := v.AppendMatches(tc.q, nil)
+			if !slices.Equal(got, want) {
+				t.Errorf("dims %d %s: AppendMatches %v, per-entry loop %v", dims, tc.name, got, want)
+			}
+			for i, r := range rects {
+				if hit := slices.Contains(got, uint16(i)); hit != tc.q.Intersects(r) {
+					t.Errorf("dims %d %s: entry %d matched=%v, geom.Intersects=%v", dims, tc.name, i, hit, !hit)
+				}
+			}
+			// Appending keeps what dst already held.
+			if got := v.AppendMatches(tc.q, []uint16{999}); !slices.Equal(got, append([]uint16{999}, want...)) {
+				t.Errorf("dims %d %s: AppendMatches dropped the existing prefix: %v", dims, tc.name, got)
+			}
+		}
+
+		// Random full pages and queries.
+		page, _ = marshalSample(t, 0, dims, Capacity(len(page), dims), int64(dims))
+		if v, err = MakeView(page); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(dims)))
+		for trial := 0; trial < 100; trial++ {
+			q := cube(dims, 0, 0)
+			for d := 0; d < dims; d++ {
+				q.Min[d] = rng.Float64() * 1.5
+				q.Max[d] = q.Min[d] + rng.Float64()*0.3
+			}
+			if got, want := v.AppendMatches(q, nil), perEntryMatches(v, q); !slices.Equal(got, want) {
+				t.Fatalf("dims %d random query %v: AppendMatches %v, per-entry loop %v", dims, q, got, want)
+			}
+		}
+	}
+}
+
+// TestValidationKernelRejects puts a NaN or an inverted interval at the
+// first, a middle and the last entry of a page, on the first and the last
+// axis, behind a recomputed CRC. MakeView's one-pass validation and
+// Unmarshal's per-entry check must reject each page with the same sentinel
+// and the same message, naming the same entry.
+func TestValidationKernelRejects(t *testing.T) {
+	nan := math.NaN()
+	for dims := 1; dims <= 4; dims++ {
+		const count = 9
+		for _, at := range []int{0, count / 2, count - 1} {
+			for _, axis := range []int{0, dims - 1} {
+				for _, bad := range []struct {
+					name   string
+					lo, hi float64
+				}{
+					{"NaN min", nan, 1},
+					{"NaN max", 0, nan},
+					{"inverted", 2, 1},
+				} {
+					page, _ := marshalSample(t, 0, dims, count, int64(dims))
+					off := HeaderSize + at*EntrySize(dims) + 16*axis
+					binary.LittleEndian.PutUint64(page[off:], math.Float64bits(bad.lo))
+					binary.LittleEndian.PutUint64(page[off+8:], math.Float64bits(bad.hi))
+					page = resealCRC(page)
+
+					_, vErr := MakeView(page)
+					var n Node
+					uErr := Unmarshal(page, &n)
+					if !errors.Is(vErr, ErrCorrupt) || !errors.Is(uErr, ErrCorrupt) {
+						t.Fatalf("dims %d entry %d axis %d %s: MakeView err %v, Unmarshal err %v, want ErrCorrupt",
+							dims, at, axis, bad.name, vErr, uErr)
+					}
+					if vErr.Error() != uErr.Error() {
+						t.Fatalf("dims %d entry %d axis %d %s: messages differ: MakeView %q, Unmarshal %q",
+							dims, at, axis, bad.name, vErr, uErr)
+					}
+					if want := fmt.Sprintf("entry %d has invalid rectangle", at); !strings.Contains(vErr.Error(), want) {
+						t.Fatalf("dims %d %s: MakeView err %q does not name entry %d", dims, bad.name, vErr, at)
+					}
+				}
+			}
+		}
+	}
 }

@@ -265,11 +265,10 @@ func (t *Tree) findLeafFast(id storage.PageID, r geom.Rect, ref uint64, path *[]
 		idx int
 		id  storage.PageID
 	}
-	var cands []cand
-	for i := 0; i < v.Count(); i++ {
-		if v.IntersectsQuery(r, i) {
-			cands = append(cands, cand{idx: i, id: storage.PageID(v.EntryRef(i))})
-		}
+	t.mut.idx = v.AppendMatches(r, t.mut.idx[:0])
+	cands := make([]cand, len(t.mut.idx))
+	for k, i := range t.mut.idx {
+		cands[k] = cand{idx: int(i), id: storage.PageID(v.EntryRef(int(i)))}
 	}
 	t.pool.Release(f)
 	for _, c := range cands {

@@ -118,6 +118,7 @@ type Tree struct {
 	mut struct {
 		path   []mutStep
 		r1, r2 geom.Rect
+		idx    []uint16 // one node's matching entry indices (delete find)
 	}
 	// mutStats counts in-place vs structural mutations. Atomic so a
 	// serving layer can snapshot them while a writer runs; see

@@ -43,12 +43,11 @@ func (t *Tree) Scan(fn func(e node.Entry) bool) error {
 			}
 			continue
 		}
-		base := len(tr.stack)
-		for i := 0; i < v.Count(); i++ {
+		// Push last to first so the leftmost child pops first.
+		for i := v.Count() - 1; i >= 0; i-- {
 			tr.stack = append(tr.stack, storage.PageID(v.EntryRef(i)))
 		}
 		t.pool.Release(f)
-		reversePages(tr.stack[base:])
 	}
 	return nil
 }

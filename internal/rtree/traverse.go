@@ -16,9 +16,14 @@
 // implementation (SearchUnmarshal), which the differential tests pin.
 //
 // Emitted node.Entry rectangles alias the traverser's slab and are valid
-// only during the callback; Clone to retain. Write paths (insert.go,
-// delete.go, build.go) keep node.Unmarshal: they mutate entries in place
-// and re-marshal, which needs the materialized form anyway.
+// only during the callback; Clone to retain. Count runs the same traversal
+// in count mode: leaves add their number of matches and bank nothing.
+//
+// Write paths read through views too: the in-place mutation tier
+// (mutate.go) descends with node.MakeView and patches pages through
+// node.MutableView. Only the structural slow paths (insert.go, delete.go)
+// and bulk load (build.go) materialize nodes with node.Unmarshal, because
+// they rebuild the entry set anyway.
 package rtree
 
 import (
@@ -61,6 +66,7 @@ func (t *Tree) ReadStats() ReadStats {
 // after a few queries of a given shape no traversal allocates.
 type traverser struct {
 	stack []storage.PageID // DFS work list (search, scan)
+	idx   []uint16         // one page's matching entry indices (search)
 	pairs []pagePair       // synchronized-traversal work list (join)
 	pq    distHeap         // best-first queue (nearest)
 	slab  []float64        // banked rectangle coordinates (mins then maxes per entry)
@@ -96,6 +102,7 @@ func (t *Tree) getTraverser() *traverser {
 // kept, so the next query reuses the grown buffers.
 func putTraverser(tr *traverser) {
 	tr.stack = tr.stack[:0]
+	tr.idx = tr.idx[:0]
 	tr.pairs = tr.pairs[:0]
 	tr.pq = tr.pq[:0]
 	tr.slab = tr.slab[:0]
@@ -142,31 +149,37 @@ func slabRect(slab []float64, i, dims int) geom.Rect {
 	return geom.Rect{Min: geom.Point(slab[off : off+dims]), Max: geom.Point(slab[off+dims : off+2*dims])}
 }
 
-// searchView is the shared implementation behind Search and SearchContext:
-// an explicit-stack depth-first traversal that visits nodes in exactly the
-// recursive reference order (children of a node are expanded leftmost
-// first). A nil ctx skips cancellation checks; a non-nil ctx is consulted
-// once per node visit, before the fetch, like searchRec's context variant
-// always did.
-func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) bool) error {
+// searchView is the one depth-first traversal behind Search,
+// SearchContext, Count and CountContext: an explicit-stack traversal that
+// visits nodes in exactly the recursive reference order (children of a
+// node are expanded leftmost first). Each visited page is scanned once by
+// node.View.AppendMatches. A nil fn selects count mode: a leaf adds its
+// number of matches to the result and releases its pin, banking nothing.
+// Otherwise leaf matches are banked and passed to fn, and the result is
+// the number of entries passed. Both modes fetch the same pages in the
+// same order. A nil ctx skips cancellation checks; a non-nil ctx is
+// consulted once per node visit, before the fetch, like searchRec's
+// context variant always did.
+func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) bool) (int, error) {
 	if err := t.checkEntry(q); err != nil {
-		return err
+		return 0, err
 	}
 	if t.height == 0 {
 		if ctx != nil {
-			return ctx.Err()
+			return 0, ctx.Err()
 		}
-		return nil
+		return 0, nil
 	}
 	t.readQueries.Add(1)
 	tr := t.getTraverser()
 	defer putTraverser(tr)
 	dims := t.dims
+	n := 0
 	tr.stack = append(tr.stack[:0], t.root)
 	for len(tr.stack) > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return err
+				return n, err
 			}
 		}
 		top := len(tr.stack) - 1
@@ -174,48 +187,42 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 		tr.stack = tr.stack[:top]
 		f, v, err := t.fetchView(id)
 		if err != nil {
-			return err
+			return n, err
 		}
+		tr.idx = v.AppendMatches(q, tr.idx[:0])
 		if v.IsLeaf() {
+			if fn == nil {
+				n += len(tr.idx)
+				t.pool.Release(f)
+				continue
+			}
 			// Bank the matches, release the pin, then emit: callbacks run
 			// unpinned, so they may issue queries of their own even on a
 			// single-frame buffer pool.
 			tr.slab = tr.slab[:0]
 			tr.refs = tr.refs[:0]
-			for i := 0; i < v.Count(); i++ {
-				if v.IntersectsQuery(q, i) {
-					tr.slab = v.AppendEntryCoords(tr.slab, i)
-					tr.refs = append(tr.refs, v.EntryRef(i))
-				}
+			for _, i := range tr.idx {
+				tr.slab = v.AppendEntryCoords(tr.slab, int(i))
+				tr.refs = append(tr.refs, v.EntryRef(int(i)))
 			}
 			t.pool.Release(f)
 			for i, ref := range tr.refs {
+				n++
 				if !fn(node.Entry{Rect: slabRect(tr.slab, i, dims), Ref: ref}) {
-					return nil
+					return n, nil
 				}
 			}
 			continue
 		}
-		// Internal node: push matching children, then reverse the pushed
-		// segment so the leftmost child pops first — the exact recursive
-		// preorder, and therefore the exact fetch sequence.
-		base := len(tr.stack)
-		for i := 0; i < v.Count(); i++ {
-			if v.IntersectsQuery(q, i) {
-				tr.stack = append(tr.stack, storage.PageID(v.EntryRef(i)))
-			}
+		// Internal node: push matching children last to first so the
+		// leftmost pops first — the exact recursive preorder, and
+		// therefore the exact fetch sequence.
+		for k := len(tr.idx) - 1; k >= 0; k-- {
+			tr.stack = append(tr.stack, storage.PageID(v.EntryRef(int(tr.idx[k]))))
 		}
 		t.pool.Release(f)
-		reversePages(tr.stack[base:])
 	}
-	return nil
-}
-
-// reversePages reverses s in place.
-func reversePages(s []storage.PageID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	return n, nil
 }
 
 // nearestView is the shared implementation behind Nearest and

@@ -3,6 +3,7 @@ package rtree
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -140,29 +141,106 @@ func TestSearchResultsIdentical(t *testing.T) {
 	}
 }
 
-// TestCountMatchesReference pins Count (view path) to counting through the
-// Unmarshal reference.
+// randRectsDims is randRects in any dimensionality.
+func randRectsDims(n, dims int, seed int64) []node.Entry {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]node.Entry, n)
+	for i := range out {
+		r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+		for d := 0; d < dims; d++ {
+			r.Min[d] = rng.Float64()
+			r.Max[d] = r.Min[d] + rng.Float64()*0.02
+		}
+		out[i] = node.Entry{Rect: r, Ref: uint64(i)}
+	}
+	return out
+}
+
+// TestCountMatchesReference pins Count and CountContext (the traversal's
+// count mode) to counting through the Unmarshal reference: equal counts
+// and the identical page-fetch sequence, in 1-D, 2-D and 3-D, on distinct
+// and duplicate-heavy inputs. A context cancelled before the call returns
+// its error without fetching a page.
 func TestCountMatchesReference(t *testing.T) {
-	tr := newTree(t, 16)
-	if err := tr.BulkLoad(randRects(1500, 8), xSortOrderer{}); err != nil {
-		t.Fatal(err)
+	for _, dims := range []int{1, 2, 3} {
+		for _, dup := range []bool{false, true} {
+			t.Run(fmt.Sprintf("dims=%d_dup=%v", dims, dup), func(t *testing.T) {
+				pool := buffer.NewPool(storage.NewMemPager(4096), 256)
+				tr, err := Create(pool, Config{Dims: dims, Capacity: 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries := randRectsDims(1500, dims, int64(8+dims))
+				if dup {
+					// Many identical rectangles, as in the nearest tests.
+					for i := range entries {
+						entries[i].Rect = entries[i%7].Rect.Clone()
+					}
+				}
+				if err := tr.BulkLoad(entries, xSortOrderer{}); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(9))
+				queries := []geom.Rect{
+					cubeRect(dims, 0, 1.1), // everything
+					cubeRect(dims, 2, 3),   // nothing
+					entries[3].Rect,        // an entry (and its duplicates)
+					{Min: entries[5].Rect.Min, Max: entries[5].Rect.Min}, // point on a corner
+				}
+				for i := 0; i < 30; i++ {
+					q := cubeRect(dims, 0, 0)
+					for d := 0; d < dims; d++ {
+						q.Min[d] = rng.Float64()
+						q.Max[d] = q.Min[d] + rng.Float64()*0.3
+					}
+					queries = append(queries, q)
+				}
+				for i, q := range queries {
+					want := 0
+					wantSeq := traceFetches(tr.Pool(), func() {
+						if err := tr.SearchUnmarshal(q, func(node.Entry) bool { want++; return true }); err != nil {
+							t.Fatal(err)
+						}
+					})
+					var got, gotCtx int
+					gotSeq := traceFetches(tr.Pool(), func() {
+						if got, err = tr.Count(q); err != nil {
+							t.Fatal(err)
+						}
+					})
+					gotCtxSeq := traceFetches(tr.Pool(), func() {
+						if gotCtx, err = tr.CountContext(context.Background(), q); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if got != want || gotCtx != want {
+						t.Fatalf("query %d: Count=%d, CountContext=%d, reference=%d", i, got, gotCtx, want)
+					}
+					if !samePages(gotSeq, wantSeq) || !samePages(gotCtxSeq, wantSeq) {
+						t.Fatalf("query %d: fetch sequence diverged: Count %v, CountContext %v, reference %v",
+							i, gotSeq, gotCtxSeq, wantSeq)
+					}
+				}
+
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				var n int
+				seq := traceFetches(tr.Pool(), func() { n, err = tr.CountContext(ctx, queries[0]) })
+				if !errors.Is(err, context.Canceled) || n != 0 || len(seq) != 0 {
+					t.Fatalf("cancelled CountContext: n=%d err=%v fetches=%v, want 0, context.Canceled, none", n, err, seq)
+				}
+			})
+		}
 	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 30; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		q := geom.R2(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
-		got, err := tr.Count(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		if err := tr.SearchUnmarshal(q, func(node.Entry) bool { want++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("query %d: Count=%d, reference=%d", i, got, want)
-		}
+}
+
+// cubeRect returns the rectangle with the interval [lo, hi] on every axis.
+func cubeRect(dims int, lo, hi float64) geom.Rect {
+	r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	for d := 0; d < dims; d++ {
+		r.Min[d], r.Max[d] = lo, hi
 	}
+	return r
 }
 
 // refNearest is the retired container/heap implementation of Nearest,
@@ -504,9 +582,9 @@ func TestViewPathNoPinLeaks(t *testing.T) {
 	}
 }
 
-// TestSearchZeroAlloc is the allocation-regression gate from the issue's
-// acceptance criteria: with a warm traverser pool and a buffer pool big
-// enough to hold the tree, steady-state Search and Count perform zero heap
+// TestSearchZeroAlloc is the read path's allocation-regression gate: with
+// a warm traverser pool and a buffer pool big enough to hold the tree,
+// steady-state Search, Count and CountContext perform zero heap
 // allocations per query.
 func TestSearchZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -545,6 +623,22 @@ func TestSearchZeroAlloc(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("count was zero; the gate exercised no counting path")
+	}
+	// CountContext under a live context is the serving layer's count path.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	nCtx := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		nCtx, err = tr.CountContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm CountContext allocated %.1f times per query, want 0", allocs)
+	}
+	if nCtx != n {
+		t.Fatalf("CountContext=%d, Count=%d", nCtx, n)
 	}
 }
 
